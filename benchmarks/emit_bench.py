@@ -8,31 +8,30 @@ The "after" engines are the shipped :class:`repro.core.FPGAAccelerator`
 variants: the pure-NumPy pass-plan engine, the per-stage native
 microkernel (``plan-native``, when a C compiler is available), the same
 microkernel compiled with auto-vectorization disabled
-(``plan-native-scalar`` — the honest per-lane SIMD baseline), the fused
-native pass driver swept across its persistent worker pool sizes
-(``native-driver-w1`` / ``-w2`` / ``-w4``), and the explicitly
-vectorized fused driver (``native-vector``, single worker — the
+(``plan-native-scalar`` — the honest per-lane SIMD baseline), and the
+vectorized fused pass driver swept across its persistent worker pool
+sizes (``native-vector-w1`` / ``-w2`` / ``-w4``; ``w1`` is the
 per-core number).  Every engine's output is verified bit-identical to
 the legacy engine before any timing is recorded.
 
 Each case records two vectorization ratios:
 
-* ``simd_speedup`` — ``native-vector`` vs ``plan-native-scalar``
+* ``simd_speedup`` — ``native-vector-w1`` vs ``plan-native-scalar``
   GCell/s.  This is the paper's ``parvec`` metric (vector vs scalar
   machine code for the same arithmetic); the ``--gate`` requires it to
   be >= 2x on the 3D radius-4 case.
-* ``vector_vs_native`` — ``native-vector`` vs the default ``-O3`` build
-  of ``plan-native``.  Smaller, because the compiler auto-vectorizes
-  the "scalar" engines' inner loops too; reported for transparency, not
-  gated.
+* ``vector_vs_native`` — ``native-vector-w1`` vs the default ``-O3``
+  build of ``plan-native``.  Smaller, because the compiler
+  auto-vectorizes the "scalar" engines' inner loops too; reported for
+  transparency, not gated.
 
-Each case also records ``scaling_efficiency`` — the ``native-driver-w4``
-to ``native-driver-w1`` GCell/s ratio, i.e. how much the 4-thread pool
-actually buys on this host.  On a single-core runner this hovers near
-1.0 by construction (``cpu_count`` is recorded in the payload so
-readers can tell: the reference container has 1 CPU, where extra
-workers cannot help); the ``--gate`` scaling check therefore only arms
-itself when ``os.cpu_count() >= 4``.
+Each case also records ``scaling_efficiency`` — the ``native-vector-w4``
+to ``native-vector-w1`` GCell/s ratio, i.e. how much the 4-thread pool
+actually buys on this host.  With fewer cores than workers it cannot
+reach 4x, and on a single core it hovers near 1.0 by construction
+(``cpu_count`` is recorded in the payload so readers can tell); the
+``--gate`` scaling check therefore only arms itself when
+``os.cpu_count() >= 4``.
 
 Usage::
 
@@ -40,8 +39,9 @@ Usage::
     PYTHONPATH=src python benchmarks/emit_bench.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate
 
-``--gate`` fails the run if the fused driver is slower than the
-per-stage native engine, if the vectorized driver's SIMD speedup over
+``--gate`` fails the run if the single-worker fused driver is slower
+than the per-stage native engine, if the vectorized driver's SIMD
+speedup over
 the scalar-build baseline drops below 2x on the 3D case, or (on hosts
 with >= 4 CPUs) if 4-worker scaling efficiency drops below 1.5x.
 
@@ -61,11 +61,11 @@ import numpy as np
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
 from repro.core.blocking import BlockDecomposition
-from repro.core.native import driver_available, native_available
+from repro.core.native import native_available
 from repro.core.pe import pe_step, refresh_border_duplicates
 from repro.errors import ConfigurationError
 
-#: persistent-pool sizes swept for the fused driver (ISSUE: 1/2/4)
+#: persistent-pool sizes swept for the fused driver
 WORKER_SWEEP = (1, 2, 4)
 
 
@@ -182,20 +182,13 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
             )
         except ConfigurationError:
             pass  # scalar-build baseline unavailable; ratios omitted
-    if driver_available():
         for n in WORKER_SWEEP:
             try:
-                engines[f"native-driver-w{n}"] = FPGAAccelerator(
-                    spec, cfg, engine="native-driver", workers=n
+                engines[f"native-vector-w{n}"] = FPGAAccelerator(
+                    spec, cfg, engine="native-vector", workers=n
                 )
             except ConfigurationError:
                 break  # driver compile failed; skip the whole sweep
-        try:
-            engines["native-vector"] = FPGAAccelerator(
-                spec, cfg, engine="native-vector", workers=1
-            )
-        except ConfigurationError:
-            pass  # vector driver compile failed; ratios omitted
 
     results = {}
     for label, engine in engines.items():
@@ -220,15 +213,15 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
               f"{results[label]['gcell_s']:7.3f} GCell/s")
 
     scaling = None
-    w1 = results.get("native-driver-w1")
-    w4 = results.get("native-driver-w4")
+    w1 = results.get("native-vector-w1")
+    w4 = results.get("native-vector-w4")
     if w1 and w4:
         scaling = round(w4["gcell_s"] / w1["gcell_s"], 3)
         print(f"  {name:14s} scaling efficiency (w4/w1): {scaling:.3f}x")
 
     simd_speedup = None
     vector_vs_native = None
-    vec = results.get("native-vector")
+    vec = w1
     scalar = results.get("plan-native-scalar")
     native = results.get("plan-native")
     if vec and scalar:
@@ -268,8 +261,9 @@ def run_case(name, spec, cfg, shape, iterations, repeats):
 def apply_gate(cases: list[dict]) -> list[str]:
     """Return regression-gate failure messages (empty = pass).
 
-    Three checks per case: the fused driver must not be slower than the
-    per-stage native engine (timing-noise tolerance 5%); the vectorized
+    Three checks per case: the single-worker fused driver must not be
+    slower than the per-stage native engine (timing-noise tolerance
+    5%); the vectorized
     driver must deliver >= 2x the *scalar-build* per-stage engine on
     the 3D radius-4 case (the SIMD speedup — single worker, so this is
     a per-core claim); and on hosts with at least 4 CPUs the 4-worker
@@ -283,10 +277,10 @@ def apply_gate(cases: list[dict]) -> list[str]:
         name = case["name"]
         res = case["results"]
         native = res.get("plan-native")
-        w1 = res.get("native-driver-w1")
+        w1 = res.get("native-vector-w1")
         if native and w1 and w1["gcell_s"] < 0.95 * native["gcell_s"]:
             failures.append(
-                f"{name}: native-driver-w1 {w1['gcell_s']} GCell/s below "
+                f"{name}: native-vector-w1 {w1['gcell_s']} GCell/s below "
                 f"per-stage native {native['gcell_s']} GCell/s"
             )
         simd = case.get("simd_speedup")
@@ -352,12 +346,11 @@ def main() -> None:
         "generated_by": "benchmarks/emit_bench.py",
         "quick": args.quick,
         "native_available": native_available(),
-        "driver_available": driver_available(),
         "cpu_count": os.cpu_count(),
         "cpu_count_note": (
             "scaling_efficiency is only meaningful when cpu_count >= 4; "
-            "the reference container has 1 CPU, where the w4/w1 ratio "
-            "hovers near 1.0 by construction and the scaling gate "
+            "with fewer cores four workers time-slice them, the w4/w1 "
+            "ratio is capped by the core count, and the scaling gate "
             "disarms itself"
         ),
         "worker_sweep": list(WORKER_SWEEP),
@@ -371,7 +364,7 @@ def main() -> None:
         scaling = case["scaling_efficiency"]
         if scaling is not None:
             print(f"{case['name']}: scaling_efficiency={scaling:.3f}x "
-                  f"(native-driver w4 vs w1)")
+                  f"(native-vector w4 vs w1)")
 
     headline = payload["cases"][0]["speedup_vs_legacy"]
     best = max(headline.values())

@@ -4,7 +4,7 @@
 Drives offered load at 0.5x / 1x / 2x / 4x the measured saturation rate
 through :class:`~repro.runtime.StencilService` with randomized fault
 plans armed, and records per-factor terminations, backpressure actions
-(shed / queue-timeout / degrade), coalescing and latency percentiles.
+(shed / queue-timeout), coalescing and latency percentiles.
 
 ``--gate`` turns the artifact into a CI gate:
 
@@ -68,7 +68,8 @@ def main() -> None:
     p99_bound_s = max(P99_DRAIN_FACTOR * (depth + 2) / rate, P99_FLOOR_S)
 
     for c in cells:
-        print(f"  {c.factor:>4g}x: {c.completed:2d}/{c.offered} bit-exact, "
+        print(f"  {c.factor:>4g}x ({c.offered_rate_jobs_s:.1f}/s): "
+              f"{c.completed:2d}/{c.offered} bit-exact, "
               f"{c.shed} shed, {c.queue_timeouts} q-timeout, "
               f"{c.deadline_misses} deadline, {c.degraded} degraded, "
               f"{c.coalesced} coalesced, {c.retries} retries, "
@@ -79,8 +80,7 @@ def main() -> None:
     coalesced = sum(c.coalesced for c in cells)
     at_2x = next(c for c in cells if c.factor == 2.0)
     backpressure = sum(
-        c.shed + c.queue_timeouts + c.degraded
-        for c in cells if c.factor >= 2.0
+        c.shed + c.queue_timeouts for c in cells if c.factor >= 2.0
     )
 
     payload = {

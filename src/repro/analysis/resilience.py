@@ -529,13 +529,27 @@ OVERLOAD_TYPED = TYPED_FAILURES | {"ShedError", "QueueTimeoutError"}
 #: many wall seconds counts as a violation (a hang or silent drop).
 OVERLOAD_BOUND_S = 60.0
 
+#: Pacing tick of the overload campaign.  Each tick submits every
+#: request due before the next tick, so the offered rate holds even
+#: when one request's interval is far below what a ``sleep`` can
+#: resolve, and no request is submitted more than one tick early.  Two
+#: milliseconds, because a tick can start ~1 ms late while the dispatch
+#: thread runs; a schedule shorter than one tick goes out as one burst.
+OVERLOAD_TICK_S = 2e-3
+
 
 @dataclass(frozen=True)
 class OverloadCell:
-    """One offered-load factor of the overload sweep."""
+    """One offered-load factor of the overload sweep.
+
+    ``offered_rate_jobs_s`` is the arrival rate actually achieved: the
+    ``offered - 1`` arrival intervals over the wall time from the first
+    submission to the last.
+    """
 
     factor: float
     offered: int
+    offered_rate_jobs_s: float
     completed: int
     shed: int
     queue_timeouts: int
@@ -559,9 +573,6 @@ def _overload_policy(max_queue_depth: int) -> "ServicePolicy":
         max_retries=1,
         retry_backoff_s=0.002,
         seed=SEED,
-        degrade_at=0.5,
-        degrade_hard_at=0.875,
-        degraded_checkpoint=2,
         # the campaign pins the *per-job* backpressure ladder; batched
         # dispatch would drain the chaos queue before pressure builds
         coalesce=False,
@@ -610,14 +621,17 @@ def run_overload_campaign(
     For each factor the campaign paces ``jobs_per_factor`` requests from
     ``tenants`` round-robin tenants at ``factor x`` the measured
     saturation rate, with a fresh seeded random fault plan armed, and
-    classifies every termination.  The invariant under test: **every
-    submitted request terminates within** :data:`OVERLOAD_BOUND_S`
-    **wall seconds with either a bit-exact result or a typed error** —
-    no hangs, no silent drops, no corrupted outputs.  Backpressure must
-    also engage: past saturation (factor >= 2) at least one request is
-    shed, timed out, or explicitly degraded.
+    classifies every termination.  Pacing runs in ticks of
+    :data:`OVERLOAD_TICK_S`, each submitting the requests due before
+    the next tick; each cell records the rate actually achieved.  The
+    invariant under test: **every submitted request terminates within**
+    :data:`OVERLOAD_BOUND_S` **wall seconds with either a bit-exact
+    result or a typed error** — no hangs, no silent drops, no corrupted
+    outputs.  Backpressure must also engage: past saturation (factor >=
+    2) at least one request is shed or timed out.
     """
     import contextlib
+    import math
     import time
 
     from repro.errors import ShedError
@@ -642,7 +656,7 @@ def run_overload_campaign(
                 f"tenant-{t}": TenantQuota(weight=t + 1) for t in range(tenants)
             },
         )
-        interval_s = 1.0 / (factor * saturation_rate)
+        rate = factor * saturation_rate
         tickets = []
         shed = 0
         counts = dict.fromkeys(
@@ -655,23 +669,36 @@ def run_overload_campaign(
         ctx = arm(plan) if plan is not None else contextlib.nullcontext()
         try:
             with ctx:
-                for j in range(jobs_per_factor):
-                    tenant = f"tenant-{j % tenants}"
-                    try:
-                        tickets.append(
-                            svc.submit(
-                                tenant,
-                                CHAOS_SPEC,
-                                CHAOS_CONFIG,
-                                grid,
-                                iterations,
-                                priority=j % 2,
-                                deadline_s=OVERLOAD_BOUND_S / 2,
+                start = time.perf_counter()
+                submitted = 0
+                while True:
+                    # request j is due at j / rate after the start; ticks
+                    # fall on fixed multiples of OVERLOAD_TICK_S
+                    tick = int((time.perf_counter() - start) / OVERLOAD_TICK_S)
+                    next_tick_s = (tick + 1) * OVERLOAD_TICK_S
+                    owed = min(jobs_per_factor, math.ceil(next_tick_s * rate))
+                    for j in range(submitted, owed):
+                        try:
+                            tickets.append(
+                                svc.submit(
+                                    f"tenant-{j % tenants}",
+                                    CHAOS_SPEC,
+                                    CHAOS_CONFIG,
+                                    grid,
+                                    iterations,
+                                    priority=j % 2,
+                                    deadline_s=OVERLOAD_BOUND_S / 2,
+                                )
                             )
-                        )
-                    except ShedError:
-                        shed += 1
-                    time.sleep(interval_s)
+                        except ShedError:
+                            shed += 1
+                    submitted = owed
+                    if submitted == jobs_per_factor:
+                        break
+                    time.sleep(
+                        max(0.0, start + next_tick_s - time.perf_counter())
+                    )
+                window = time.perf_counter() - start
                 for ticket in tickets:
                     try:
                         res = ticket.result(timeout=OVERLOAD_BOUND_S)
@@ -703,6 +730,7 @@ def run_overload_campaign(
             OverloadCell(
                 factor=factor,
                 offered=jobs_per_factor,
+                offered_rate_jobs_s=(jobs_per_factor - 1) / window,
                 completed=counts["completed"],
                 shed=shed,
                 queue_timeouts=counts["queue_timeouts"],
@@ -742,6 +770,7 @@ def run_overload() -> ExperimentResult:
         (
             f"{c.factor:g}x",
             f"{c.offered}",
+            f"{c.offered_rate_jobs_s:.1f}",
             f"{c.completed}",
             f"{c.shed}",
             f"{c.queue_timeouts}",
@@ -755,7 +784,7 @@ def run_overload() -> ExperimentResult:
     ]
     table = render_table(
         [
-            "load", "offered", "bit-exact", "shed", "q-timeout",
+            "load", "offered", "offered/s", "bit-exact", "shed", "q-timeout",
             "deadline", "degraded", "retries", "violations", "p99 ms",
         ],
         rows,
@@ -770,9 +799,7 @@ def run_overload() -> ExperimentResult:
 
     violations = sum(c.violations + c.unterminated for c in cells)
     overloaded = [c for c in cells if c.factor >= 2.0]
-    backpressure = sum(
-        c.shed + c.queue_timeouts + c.degraded for c in overloaded
-    )
+    backpressure = sum(c.shed + c.queue_timeouts for c in overloaded)
     comparisons = [
         compare_values(
             "invariant intact (bounded, bit-exact or typed)",
@@ -798,6 +825,7 @@ def run_overload() -> ExperimentResult:
                 {
                     "factor": c.factor,
                     "offered": c.offered,
+                    "offered_rate_jobs_s": c.offered_rate_jobs_s,
                     "completed": c.completed,
                     "shed": c.shed,
                     "queue_timeouts": c.queue_timeouts,

@@ -42,13 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.batch import BatchPlan, BatchResult
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
 from repro.core.native import (
-    native_driver_for,
+    NativeDriver,
+    NativeStencil,
     native_kernel_for,
-    native_scalar_kernel_for,
     native_vector_driver_for,
 )
 from repro.core.pe import (
@@ -178,23 +179,22 @@ class FPGAAccelerator:
         fault-injection runs always execute serially — the channel
         transport and injector bookkeeping are deliberately sequential.
     engine:
-        ``"auto"`` (default) walks the ladder ``native-vector ->
-        native-driver -> native -> numpy``: whole passes execute through
-        the generated *vectorized* fused pass driver (rows padded to
-        ``config.parvec`` SIMD lanes, ``#pragma omp simd`` inner loops,
-        final stage fused into the output grid) when a C compiler is
-        available, falling back to the scalar fused driver, per-stage
-        native microkernels, and finally the pure-NumPy path.
-        ``"numpy"`` forces the fallback; ``"native"`` pins the per-stage
-        microkernel; ``"native-scalar"`` pins the per-stage microkernel
-        *compiled with auto-vectorization disabled* (the benchmarking
-        baseline SIMD speedups are measured against — never selected by
-        ``"auto"``); ``"native-driver"`` pins the scalar fused driver;
-        ``"native-vector"`` pins the vectorized one — pinned engines
-        raise :class:`ConfigurationError` when they cannot be built.
-        All engines are bit-identical (tested); the knob exists for
-        benchmarking and for environments without a toolchain.
-        :attr:`resolved_engine` reports what ``"auto"`` selected.
+        ``"auto"`` (default) walks the ladder of
+        :mod:`repro.core.engines`, ``native-vector -> native -> numpy``,
+        and keeps the first rung that builds: whole passes execute
+        through the generated vectorized fused pass driver (rows padded
+        to ``config.parvec & -config.parvec`` SIMD lanes, ``#pragma omp
+        simd`` inner loops, final stage fused into the output grid) when
+        a C compiler is available, else through the per-stage native
+        microkernel, else on the pure-NumPy path.  Naming a rung pins
+        it, and a pinned rung that cannot be built raises
+        :class:`ConfigurationError`.  ``"native-scalar"`` pins the
+        per-stage microkernel *compiled with auto-vectorization
+        disabled*: the benchmarking baseline SIMD speedups are measured
+        against, never selected by ``"auto"``.  All engines are
+        bit-identical (tested); the knob exists for benchmarking and for
+        environments without a toolchain.  :attr:`resolved_engine`
+        reports the rung that was kept.
 
     Notes
     -----
@@ -255,14 +255,7 @@ class FPGAAccelerator:
             )
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if engine not in (
-            "auto", "numpy", "native", "native-scalar", "native-driver",
-            "native-vector",
-        ):
-            raise ConfigurationError(
-                "engine must be 'auto', 'numpy', 'native', 'native-scalar', "
-                f"'native-driver' or 'native-vector', got {engine!r}"
-            )
+        engines.check(engine, baseline=True)
         self.spec = spec
         self.config = config
         self.boundary = boundary
@@ -272,40 +265,23 @@ class FPGAAccelerator:
         )
         self._terms = stencil_terms(spec, spec.dims)
         self.engine = engine
-        if engine == "numpy":
-            self._native = None
-        elif engine == "native-scalar":
-            self._native = native_scalar_kernel_for(spec)
+        # The first rung that builds is the only engine object kept: the
+        # pass driver, the per-stage kernel, or None for the NumPy path.
+        # ``resolved_engine`` names it; armed fault-injection runs take
+        # the serial channel path regardless.
+        self._engine: NativeDriver | NativeStencil | None = None
+        for rung in engines.LADDER if engine == engines.AUTO else (engine,):
+            self._engine = self._build(rung)
+            if self._engine is not None or rung == "numpy":
+                self.resolved_engine = rung
+                break
         else:
-            self._native = native_kernel_for(spec)
-        self._native_kind = "native-scalar" if engine == "native-scalar" else "native"
-        if engine in ("native", "native-scalar") and self._native is None:
             raise ConfigurationError(
-                f"engine={engine!r} but no native kernel could be built "
-                "(no C compiler, compile failure, or REPRO_NO_NATIVE set)"
-            )
-        self._driver = None
-        self._driver_kind = "none"
-        if engine in ("auto", "native-vector"):
-            self._driver = native_vector_driver_for(
-                spec, workers, config.parvec
-            )
-            if self._driver is not None:
-                self._driver_kind = "native-vector"
-        if engine == "native-vector" and self._driver is None:
-            raise ConfigurationError(
-                "engine='native-vector' but no vectorized pass driver "
-                "could be built (no C compiler, compile failure, or "
-                "REPRO_NO_NATIVE set)"
-            )
-        if self._driver is None and engine in ("auto", "native-driver"):
-            self._driver = native_driver_for(spec, workers)
-            if self._driver is not None:
-                self._driver_kind = "native-driver"
-        if engine == "native-driver" and self._driver is None:
-            raise ConfigurationError(
-                "engine='native-driver' but no pass driver could be built "
-                "(no C compiler, compile failure, or REPRO_NO_NATIVE set)"
+                f"engine={engine!r} could not be built (no C compiler, "
+                "compile failure, or REPRO_NO_NATIVE set)",
+                param="engine",
+                value=engine,
+                constraint="a pinned native engine needs a working C compiler",
             )
         # Persistent per-accelerator execution resources, created lazily
         # on first use and reused by every run() (satellite of the fused
@@ -345,20 +321,18 @@ class FPGAAccelerator:
             spec, config, boundary=boundary, workers=workers, engine=engine
         )
 
-    @property
-    def resolved_engine(self) -> str:
-        """The engine actually executing disarmed passes.
-
-        One of ``"native-vector"``, ``"native-driver"``, ``"native"`` or
-        ``"numpy"`` — what the ``"auto"`` ladder selected (pinned
-        engines report themselves).  Armed fault-injection runs always
-        take the serial channel path regardless.
-        """
-        if self._driver is not None:
-            return self._driver_kind
-        if self._native is not None:
-            return self._native_kind
-        return "numpy"
+    def _build(self, rung: str) -> NativeDriver | NativeStencil | None:
+        """One rung's engine object, or ``None`` (always for numpy)."""
+        if rung == "native-vector":
+            parvec = self.config.parvec
+            return native_vector_driver_for(
+                self.spec, self.workers, parvec & -parvec
+            )
+        if rung in ("native", engines.SCALAR_BASELINE):
+            return native_kernel_for(
+                self.spec, scalar=rung == engines.SCALAR_BASELINE
+            )
+        return None
 
     @property
     def closed(self) -> bool:
@@ -379,9 +353,9 @@ class FPGAAccelerator:
         if self._closed:
             return
         self._closed = True
-        if self._driver is not None:
-            self._driver.close()
-            self._driver = None
+        if isinstance(self._engine, NativeDriver):
+            self._engine.close()
+        self._engine = None
         if self._exec_pool is not None:
             self._exec_pool.shutdown()
             self._exec_pool = None
@@ -462,20 +436,7 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(grid, stats)
 
-        armed = fault_hooks.ACTIVE is not None
-        use_driver = self._driver is not None and not armed
-        n_workers = (
-            1
-            if (armed or use_driver)
-            else min(self.workers, len(plan.blocks))
-        )
-        while len(self._scratches) < n_workers:
-            self._scratches.append(_Scratch())
-        pool = None
-        if n_workers > 1:
-            if self._exec_pool is None:
-                self._exec_pool = ThreadPoolExecutor(self.workers)
-            pool = self._exec_pool
+        driver = self._engine if isinstance(self._engine, NativeDriver) else None
         # Ping-pong output buffers: two allocations per run (passes
         # alternate between them) instead of one ``np.empty_like`` per
         # pass.  Both are this run's own arrays, so the returned result
@@ -488,10 +449,7 @@ class FPGAAccelerator:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
                     out = pong[0] if current is not pong[0] else pong[1]
-                    self._run_pass(
-                        current, out, plan, steps, stats, n_workers, pool,
-                        use_driver,
-                    )
+                    self._run_pass(current, out, plan, steps, stats, driver)
                     current = out
                     remaining -= steps
                     stats.passes += 1
@@ -626,16 +584,7 @@ class FPGAAccelerator:
             mgr = as_manager(checkpoint)
             mgr.seed(slab, stats)
 
-        use_driver = self._driver is not None
-        n_workers = 1 if use_driver else min(self.workers, n_grids)
-        while len(self._scratches) < n_workers:
-            self._scratches.append(_Scratch())
-        pool = None
-        if n_workers > 1:
-            if self._exec_pool is None:
-                self._exec_pool = ThreadPoolExecutor(self.workers)
-            pool = self._exec_pool
-
+        driver = self._engine if isinstance(self._engine, NativeDriver) else None
         pong = (np.empty_like(slab), np.empty_like(slab))
         current = slab
         remaining = iterations
@@ -644,38 +593,18 @@ class FPGAAccelerator:
                 while remaining > 0:
                     steps = min(config.partime, remaining)
                     out = pong[0] if current is not pong[0] else pong[1]
-                    if use_driver:
-                        tables = plan.to_driver_tables(
-                            steps, self._driver.vector_width
+                    if driver is not None:
+                        tables, scratch = self._driver_inputs(
+                            driver, plan, steps
                         )
-                        need = self._driver.workers * 2 * tables.scratch_floats
-                        if (
-                            self._driver_scratch is None
-                            or self._driver_scratch.size < need
-                        ):
-                            self._driver_scratch = _aligned_f32(need)
-                        self._driver.run_batch_pass(
+                        driver.run_batch_pass(
                             current, out, tables, plan.periodic,
-                            self._driver_scratch, n_grids, bplan.grid_stride,
+                            scratch, n_grids, bplan.grid_stride,
                         )
-                    elif pool is not None:
-                        windows = plan.windows(steps)
-                        futures = [
-                            pool.submit(
-                                self._exec_grids,
-                                current, out, plan, windows,
-                                range(w, n_grids, n_workers),
-                                self._scratches[w],
-                            )
-                            for w in range(n_workers)
-                        ]
-                        for f in futures:
-                            f.result()
                     else:
-                        windows = plan.windows(steps)
-                        self._exec_grids(
-                            current, out, plan, windows, range(n_grids),
-                            self._scratches[0],
+                        self._fan_out(
+                            self._exec_grids, current, out, plan, steps,
+                            n_grids,
                         )
                     self._account_pass(stats, plan, n_grids)
                     current = out
@@ -797,18 +726,16 @@ class FPGAAccelerator:
         plan: PassPlan,
         steps: int,
         stats: AcceleratorStats,
-        n_workers: int,
-        pool: ThreadPoolExecutor | None,
-        use_driver: bool = False,
+        driver: NativeDriver | None,
     ) -> None:
         """One pass: every block flows through ``steps`` chained PE stages.
 
         Disarmed, the whole pass executes in one ctypes call through the
         fused native driver (its persistent pthread pool work-steals
         blocks), or — per-stage fallback — blocks execute the cached
-        plan against preallocated scratch buffers (optionally fanned out
-        over ``pool``).  When a fault plan is armed, the pass instead
-        moves each block between stages through real
+        plan against preallocated scratch buffers (fanned out over the
+        thread pool when ``workers > 1``).  When a fault plan is armed,
+        the pass instead moves each block between stages through real
         :class:`~repro.core.channels.Channel` objects carrying per-block
         checksums — the hardened design's detection path; the numerics
         are bit-identical every way.
@@ -817,38 +744,50 @@ class FPGAAccelerator:
         if inj is not None:
             windows = plan.windows(steps)
             self._run_pass_armed(src, out, plan, windows, steps, inj)
-        elif use_driver:
-            tables = plan.to_driver_tables(steps, self._driver.vector_width)
-            need = self._driver.workers * 2 * tables.scratch_floats
-            if self._driver_scratch is None or self._driver_scratch.size < need:
-                self._driver_scratch = _aligned_f32(need)
-            self._driver.run_pass(
-                src, out, tables, plan.periodic, self._driver_scratch
-            )
-        elif pool is not None:
-            windows = plan.windows(steps)
-            futures = [
-                pool.submit(
-                    self._exec_blocks,
-                    src,
-                    out,
-                    plan,
-                    windows,
-                    range(w, len(plan.blocks), n_workers),
-                    self._scratches[w],
-                )
-                for w in range(n_workers)
-            ]
-            for f in futures:
-                f.result()
+        elif driver is not None:
+            tables, scratch = self._driver_inputs(driver, plan, steps)
+            driver.run_pass(src, out, tables, plan.periodic, scratch)
         else:
-            windows = plan.windows(steps)
-            self._exec_blocks(
-                src, out, plan, windows, range(len(plan.blocks)),
-                self._scratches[0],
+            self._fan_out(
+                self._exec_blocks, src, out, plan, steps, len(plan.blocks)
             )
-
         self._account_pass(stats, plan)
+
+    def _fan_out(
+        self, fn, src: np.ndarray, out: np.ndarray, plan: PassPlan,
+        steps: int, units: int,
+    ) -> None:
+        """Per-stage pass: ``fn`` over ``units`` blocks (or batch grids),
+        dealt round-robin to ``min(workers, units)`` persistent scratch
+        pools — on the thread pool when there is more than one."""
+        windows = plan.windows(steps)
+        n_workers = min(self.workers, units)
+        while len(self._scratches) < n_workers:
+            self._scratches.append(_Scratch())
+        if n_workers == 1:
+            fn(src, out, plan, windows, range(units), self._scratches[0])
+            return
+        if self._exec_pool is None:
+            self._exec_pool = ThreadPoolExecutor(self.workers)
+        futures = [
+            self._exec_pool.submit(
+                fn, src, out, plan, windows, range(w, units, n_workers),
+                self._scratches[w],
+            )
+            for w in range(n_workers)
+        ]
+        for f in futures:
+            f.result()
+
+    def _driver_inputs(self, driver: NativeDriver, plan: PassPlan, steps: int):
+        """The driver tables of a ``steps``-stage pass and a scratch
+        slab big enough for every worker's ping-pong buffers (grown on
+        demand, reused across passes and runs)."""
+        tables = plan.to_driver_tables(steps, driver.vector_width)
+        need = driver.workers * 2 * tables.scratch_floats
+        if self._driver_scratch is None or self._driver_scratch.size < need:
+            self._driver_scratch = _aligned_f32(need)
+        return tables, self._driver_scratch
 
     def _account_pass(
         self, stats: AcceleratorStats, plan: PassPlan, grids: int = 1
@@ -896,7 +835,7 @@ class FPGAAccelerator:
         periodic = plan.periodic
         boundary = self.boundary
         terms = self._terms
-        native = self._native
+        native = self._engine if isinstance(self._engine, NativeStencil) else None
         for bi in block_indices:
             bp = plan.blocks[bi]
             n0 = bp.footprint[0]

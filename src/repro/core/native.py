@@ -40,6 +40,7 @@ import shutil
 import subprocess
 import tempfile
 import weakref
+from typing import Any
 
 import numpy as np
 
@@ -63,9 +64,9 @@ def _acc_chain(spec: StencilSpec, indent: str, read) -> list[str]:
     ``read(axis, off)`` returns the C expression loading the neighbor at
     ``off`` along ``axis``; ``read(None, 0)`` loads the center.  Emitting
     the chain from one helper guarantees every generated kernel — the
-    per-stage microkernels, the fused pass drivers, and the vectorized
-    direct-read stage — executes the identical fixed accumulation order:
-    the bit-exactness invariant.
+    per-stage microkernel and every stage of the vectorized pass driver,
+    including its direct-read first stage — executes the identical fixed
+    accumulation order: the bit-exactness invariant.
     """
     lines = [f"{indent}float acc = {_c_literal(spec.center)} * {read(None, 0)};"]
     for axis, off, coeff in stencil_terms(spec, spec.dims):
@@ -335,267 +336,19 @@ void driver_destroy(void *handle) {
 """
 
 
-def driver_source(spec: StencilSpec) -> str:
-    """C source of the fused pass driver for ``spec``.
+def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
+    """C source of the vectorized fused pass driver for ``spec``.
 
     One translation unit executes an *entire pass*: for every block, the
-    read kernel (gather segments), all chained PE stages, and the write
-    kernel — driven from the flat tables of
-    :meth:`repro.core.plan.PassPlan.to_driver_tables`.  Stages ping-pong
-    between two per-worker padded buffers instead of copying the window
-    back after each stage: the overlapped-blocking shrink invariant
-    (lint rule P302) guarantees every star-stencil neighbor read at
-    stage ``s`` lands inside stage ``s-1``'s window or in a clamp
-    duplicate refreshed from it, so the cells left stale outside the
-    window are never read and the per-element accumulation chain (shared
-    with :func:`kernel_source` via the same generator) stays
-    bit-identical to the per-stage engines.
-    """
-    rad = spec.radius
-    rec = DRIVER_RECORD_LEN[spec.dims]
-    head = [f"#define RAD {rad}", f"#define REC {rec}", _DRIVER_PRELUDE]
-    body: list[str] = []
-    if spec.dims == 2:
-        body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 z0, i64 z1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    const float *row = a + z * s0;",
-            "    float *orow = b + z * s0;",
-            "    for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "s0", 1: "1"})
-        body += [
-            "      orow[x] = acc;",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "static void do_block(const job_t *J, const float *src,",
-            "                     float *out, i64 bi, float *A, float *B) {",
-            "  const i64 *R = J->blocks + bi * REC;",
-            "  const i64 n0 = R[0], nx = R[1];",
-            "  const i64 dlx = R[2], dhx = R[3];",
-            "  const i64 wx = R[4], cx = R[5], rx = R[6];",
-            "  const i64 *segx = J->segs + 4 * R[7];",
-            "  const i64 nsx = R[8];",
-            "  const i64 s0 = nx;",
-            "  /* read kernel: segment copies into A's interior */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    float *dst = A + (z + RAD) * s0;",
-            "    const float *srow = src + z * J->gs0;",
-            "    for (i64 j = 0; j < nsx; ++j) {",
-            "      const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "      const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "      if (xs1 - xs0 == 1) {",
-            "        const float v = srow[xs0];",
-            "        for (i64 x = xd0; x < xd1; ++x) dst[x] = v;",
-            "      } else {",
-            "        memcpy(dst + xd0, srow + xs0,",
-            "               (size_t)(xd1 - xd0) * sizeof(float));",
-            "      }",
-            "    }",
-            "  }",
-            "  /* PE chain: ping-pong A -> B, one stage per chained PE */",
-            "  const i64 *W = J->wins + bi * J->steps * 4;",
-            "  for (i64 s = 0; s < J->steps; ++s, W += 4) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 x0 = W[2], x1 = W[3];",
-            "    stage(A, B, s0, W[0] + RAD, W[1] + RAD, x0, x1);",
-            "    if (s + 1 < J->steps && !J->periodic && (dlx | dhx)) {",
-            "      /* refresh clamp duplicates from the border window cell.",
-            "       * P302 guarantees the source cell is inside the stage",
-            "       * window whenever a later stage reads the duplicates, so",
-            "       * no other cells outside the window need copying over. */",
-            "      for (i64 z = RAD; z < RAD + n0; ++z) {",
-            "        float *row = B + z * s0;",
-            "        if (dlx) {",
-            "          const float v = row[dlx];",
-            "          for (i64 x = 0; x < dlx; ++x) row[x] = v;",
-            "        }",
-            "        if (dhx) {",
-            "          const float v = row[nx - 1 - dhx];",
-            "          for (i64 x = 0; x < dhx; ++x) row[nx - 1 - x] = v;",
-            "        }",
-            "      }",
-            "    }",
-            "    float *t = A; A = B; B = t;",
-            "  }",
-            "  /* write kernel: copy the compute region out */",
-            "  for (i64 z = 0; z < n0; ++z)",
-            "    memcpy(out + z * J->gs0 + wx, A + (z + RAD) * s0 + rx,",
-            "           (size_t)cx * sizeof(float));",
-            "}",
-        ]
-    else:
-        body += [
-            "static void stage(const float *restrict a, float *restrict b,",
-            "                  i64 s0, i64 s1, i64 z0, i64 z1,",
-            "                  i64 y0, i64 y1, i64 x0, i64 x1) {",
-            "  for (i64 z = z0; z < z1; ++z) {",
-            "    for (i64 y = y0; y < y1; ++y) {",
-            "      const float *row = a + z * s0 + y * s1;",
-            "      float *orow = b + z * s0 + y * s1;",
-            "      for (i64 x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "s0", 1: "s1", 2: "1"})
-        body += [
-            "        orow[x] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-            "",
-            "static void do_block(const job_t *J, const float *src,",
-            "                     float *out, i64 bi, float *A, float *B) {",
-            "  const i64 *R = J->blocks + bi * REC;",
-            "  const i64 n0 = R[0], ny = R[1], nx = R[2];",
-            "  const i64 dly = R[3], dhy = R[4], dlx = R[5], dhx = R[6];",
-            "  const i64 wy = R[7], wx = R[8], cy = R[9], cx = R[10];",
-            "  const i64 ry = R[11], rx = R[12];",
-            "  const i64 *segy = J->segs + 4 * R[13];",
-            "  const i64 nsy = R[14];",
-            "  const i64 *segx = J->segs + 4 * R[15];",
-            "  const i64 nsx = R[16];",
-            "  const i64 s1 = nx, s0 = ny * nx;",
-            "  /* read kernel: segment copies into A's interior */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    float *dz = A + (z + RAD) * s0;",
-            "    const float *sz = src + z * J->gs0;",
-            "    for (i64 i = 0; i < nsy; ++i) {",
-            "      const i64 yd0 = segy[4 * i], yd1 = segy[4 * i + 1];",
-            "      const i64 ys0 = segy[4 * i + 2], ys1 = segy[4 * i + 3];",
-            "      const int ybroad = (ys1 - ys0) == 1;",
-            "      for (i64 yd = yd0; yd < yd1; ++yd) {",
-            "        const i64 ys = ybroad ? ys0 : ys0 + (yd - yd0);",
-            "        float *dst = dz + yd * s1;",
-            "        const float *srow = sz + ys * J->gs1;",
-            "        for (i64 j = 0; j < nsx; ++j) {",
-            "          const i64 xd0 = segx[4 * j], xd1 = segx[4 * j + 1];",
-            "          const i64 xs0 = segx[4 * j + 2], xs1 = segx[4 * j + 3];",
-            "          if (xs1 - xs0 == 1) {",
-            "            const float v = srow[xs0];",
-            "            for (i64 x = xd0; x < xd1; ++x) dst[x] = v;",
-            "          } else {",
-            "            memcpy(dst + xd0, srow + xs0,",
-            "                   (size_t)(xd1 - xd0) * sizeof(float));",
-            "          }",
-            "        }",
-            "      }",
-            "    }",
-            "  }",
-            "  /* PE chain: ping-pong A -> B, one stage per chained PE */",
-            "  const i64 *W = J->wins + bi * J->steps * 6;",
-            "  for (i64 s = 0; s < J->steps; ++s, W += 6) {",
-            "    fill_halo(A, n0, s0, J->periodic);",
-            "    const i64 y0 = W[2], y1 = W[3], x0 = W[4], x1 = W[5];",
-            "    stage(A, B, s0, s1, W[0] + RAD, W[1] + RAD, y0, y1, x0, x1);",
-            "    if (s + 1 < J->steps && !J->periodic",
-            "        && (dly | dhy | dlx | dhx)) {",
-            "      /* refresh clamp duplicates -- y rows first, then x",
-            "       * columns, matching refresh_border_duplicates order.",
-            "       * P302 guarantees the source cells are inside the stage",
-            "       * window whenever a later stage reads the duplicates, so",
-            "       * no other cells outside the window need copying over. */",
-            "      for (i64 z = RAD; z < RAD + n0; ++z) {",
-            "        float *bz = B + z * s0;",
-            "        for (i64 y = 0; y < dly; ++y)",
-            "          memcpy(bz + y * s1, bz + dly * s1,",
-            "                 (size_t)nx * sizeof(float));",
-            "        for (i64 y = 0; y < dhy; ++y)",
-            "          memcpy(bz + (ny - 1 - y) * s1,",
-            "                 bz + (ny - 1 - dhy) * s1,",
-            "                 (size_t)nx * sizeof(float));",
-            "        if (dlx)",
-            "          for (i64 y = 0; y < ny; ++y) {",
-            "            float *row = bz + y * s1;",
-            "            const float v = row[dlx];",
-            "            for (i64 x = 0; x < dlx; ++x) row[x] = v;",
-            "          }",
-            "        if (dhx)",
-            "          for (i64 y = 0; y < ny; ++y) {",
-            "            float *row = bz + y * s1;",
-            "            const float v = row[nx - 1 - dhx];",
-            "            for (i64 x = 0; x < dhx; ++x) row[nx - 1 - x] = v;",
-            "          }",
-            "      }",
-            "    }",
-            "    float *t = A; A = B; B = t;",
-            "  }",
-            "  /* write kernel: copy the compute region out */",
-            "  for (i64 z = 0; z < n0; ++z) {",
-            "    const float *az = A + (z + RAD) * s0;",
-            "    float *oz = out + z * J->gs0;",
-            "    for (i64 y = 0; y < cy; ++y)",
-            "      memcpy(oz + (wy + y) * J->gs1 + wx, az + (ry + y) * s1 + rx,",
-            "             (size_t)cx * sizeof(float));",
-            "  }",
-            "}",
-        ]
-    return "\n".join(head + body) + _DRIVER_EPILOGUE
-
-
-def vector_kernel_source(spec: StencilSpec) -> str:
-    """C source of the explicitly vectorized PE-stage kernel.
-
-    Same ``pe_stage`` contract as :func:`kernel_source`, with
-    ``#pragma omp simd`` on the unit-stride x loop (honored by
-    ``-fopenmp-simd`` without linking an OpenMP runtime).  Vectorizing
-    *across* x lanes never reorders one element's accumulation chain —
-    each lane still executes the fixed ``acc = c0*x; acc += ci*xi``
-    sequence from :func:`_acc_lines` — so the result stays bit-identical
-    to the scalar kernel, which the property suite asserts.
-    """
-    body: list[str] = []
-    if spec.dims == 2:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0,",
-            "              long y0, long y1, long x0, long x1,",
-            "              long os0) {",
-            "  for (long y = y0; y < y1; ++y) {",
-            "    const float *restrict row = p + y * ps0;",
-            "    float *restrict orow = out + (y - y0) * os0;",
-            "#pragma omp simd",
-            "    for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "      ", {0: "ps0", 1: "1"})
-        body += [
-            "      orow[x - x0] = acc;",
-            "    }",
-            "  }",
-            "}",
-        ]
-    else:
-        body += [
-            "void pe_stage(const float *restrict p, float *restrict out,",
-            "              long ps0, long ps1,",
-            "              long z0, long z1, long y0, long y1,",
-            "              long x0, long x1,",
-            "              long os0, long os1) {",
-            "  for (long z = z0; z < z1; ++z) {",
-            "    for (long y = y0; y < y1; ++y) {",
-            "      const float *restrict row = p + z * ps0 + y * ps1;",
-            "      float *restrict orow = out + (z - z0) * os0 + (y - y0) * os1;",
-            "#pragma omp simd",
-            "      for (long x = x0; x < x1; ++x) {",
-        ]
-        body += _acc_lines(spec, "        ", {0: "ps0", 1: "ps1", 2: "1"})
-        body += [
-            "        orow[x - x0] = acc;",
-            "      }",
-            "    }",
-            "  }",
-            "}",
-        ]
-    return "\n".join(body) + "\n"
-
-
-def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
-    """C source of the vectorized fused pass driver.
-
-    Differences from the scalar :func:`driver_source` — the paper's
-    ``parvec`` story mapped onto CPU SIMD lanes:
+    read kernel, all chained PE stages, and the write kernel — driven
+    from the flat tables of :meth:`repro.core.plan.PassPlan
+    .to_driver_tables`.  Stages ping-pong between two per-worker padded
+    buffers instead of copying the window back after each stage: the
+    overlapped-blocking shrink invariant (lint rule P302) guarantees
+    every star-stencil neighbor read at stage ``s`` lands inside stage
+    ``s-1``'s window or in a clamp duplicate refreshed from it, so the
+    cells left stale outside the window are never read.  The paper's
+    ``parvec`` story maps onto CPU SIMD lanes:
 
     * **fused read kernel**: stage 0 reads the source grid *directly*
       through per-axis index maps decoded from the gather segments —
@@ -624,9 +377,10 @@ def vector_driver_source(spec: StencilSpec, vector_width: int) -> str:
       (tail) passes — whose final window is wider — safely fall back
       to the write-kernel path.
 
-    The pool/ABI (``driver_create``/``driver_run_pass``/
-    ``driver_destroy``) is shared with the scalar driver, so
-    :class:`NativeDriver` runs either library unchanged.
+    ``vector_width`` must be a power of two; ``1`` is valid and gives
+    the same driver without row padding.  :class:`NativeDriver` wraps
+    the pool API (``driver_create``/``driver_run_pass``/
+    ``driver_destroy``).
     """
     rad = spec.radius
     rec = DRIVER_RECORD_LEN[spec.dims]
@@ -1266,75 +1020,6 @@ def native_available() -> bool:
     return not os.environ.get(DISABLE_ENV) and _find_compiler() is not None
 
 
-_KERNELS: dict[tuple, NativeStencil | None] = {}
-
-
-def native_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """The compiled kernel for ``spec``, or ``None`` when unavailable.
-
-    Cached on the spec's numeric content (``StencilSpec`` holds a NumPy
-    coefficient array, so the spec itself is not hashable); failures (no
-    compiler, compile error, :envvar:`REPRO_NO_NATIVE` set) are cached
-    too, so the fallback decision is made once per spec.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _KERNELS:
-        return _KERNELS[key]
-    lib_path = _compile(kernel_source(spec))
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
-        try:
-            kernel = NativeStencil(spec, lib_path)
-        except OSError:
-            kernel = None
-    _KERNELS[key] = kernel
-    return kernel
-
-
-def native_scalar_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """Like :func:`native_kernel_for` but compiled with vectorization off.
-
-    ``-fno-tree-vectorize -fno-tree-slp-vectorize`` pins the build to
-    genuinely scalar machine code.  At ``-O3`` the compiler otherwise
-    auto-vectorizes even the "scalar" engines' inner loops, which makes
-    engine-vs-engine timings understate the SIMD payoff; this build is
-    the honest per-lane baseline the vectorization speedup in
-    ``BENCH_engines.json`` is measured against (the paper's ``parvec``
-    speedups are likewise vector-vs-scalar on one kernel).  Accumulation
-    order is untouched, so the result stays bit-identical.
-    """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        "scalar",
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _KERNELS:
-        return _KERNELS[key]
-    lib_path = _compile(
-        kernel_source(spec),
-        extra=("-fno-tree-vectorize", "-fno-tree-slp-vectorize"),
-    )
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
-        try:
-            kernel = NativeStencil(spec, lib_path)
-        except OSError:
-            kernel = None
-    _KERNELS[key] = kernel
-    return kernel
-
-
 class NativeDriver:
     """A compiled fused pass driver with its own persistent worker pool.
 
@@ -1359,8 +1044,7 @@ class NativeDriver:
         self.spec = spec
         self.workers = max(1, int(workers))
         self.lib_path = lib_path
-        #: SIMD lane count the compiled ``do_block`` pads rows to
-        #: (1 = the scalar driver; the driver ABI is identical).
+        #: SIMD lane count the compiled ``do_block`` pads rows to.
         self.vector_width = max(1, int(vector_width))
         lib = ctypes.CDLL(lib_path)
         lib.driver_create.argtypes = [ctypes.c_longlong]
@@ -1474,80 +1158,68 @@ class NativeDriver:
         )
 
 
-def driver_available() -> bool:
-    """True if the fused pass driver can be built on this machine."""
-    return native_available()
+#: Compiler flags pinning the ``native-scalar`` baseline to genuinely
+#: scalar machine code.  At ``-O3`` the compiler otherwise
+#: auto-vectorizes even the per-stage kernel's inner loop, which makes
+#: engine-vs-engine timings understate the SIMD payoff; this build is
+#: the honest per-lane baseline the vectorization speedup in
+#: ``BENCH_engines.json`` is measured against (the paper's ``parvec``
+#: speedups are likewise vector-vs-scalar on one kernel).  Accumulation
+#: order is untouched, so the result stays bit-identical.
+_SCALAR_FLAGS = ("-fno-tree-vectorize", "-fno-tree-slp-vectorize")
+
+#: Built artifact per ``(kind, vector width, stencil content)``: a
+#: loaded :class:`NativeStencil` for the per-stage kernels, a library
+#: path for the pass driver (each driver owns a fresh pool).  ``None``
+#: caches a failure, so the fallback decision is made once.
+_BUILT: dict[tuple, Any] = {}
 
 
-#: Compiled driver library path per stencil key (``None`` caches
-#: failures); pool handles are *not* shared — each accelerator gets its
-#: own :class:`NativeDriver` so concurrent runs never contend for a job
-#: slot.
-_DRIVER_LIBS: dict[tuple, str | None] = {}
+def _cached(spec: StencilSpec, kind: str, vector_width: int, build) -> Any:
+    """``build()`` once per kind, width and stencil, or ``None``.
 
-
-def native_driver_for(spec: StencilSpec, workers: int) -> NativeDriver | None:
-    """A fresh pass driver (own pool) for ``spec``, or ``None``.
-
-    The compiled library is content-addressed and shared across calls;
-    the pthread pool is per returned instance, created once and reused
-    for every pass of every run of the owning accelerator.
+    Keyed on the spec's numeric content (``StencilSpec`` holds a NumPy
+    coefficient array, so the spec itself is not hashable).
+    :envvar:`REPRO_NO_NATIVE` short-circuits to ``None`` before the
+    cache, so setting it takes effect immediately.
     """
     if os.environ.get(DISABLE_ENV):
         return None
     key = (
+        kind,
+        vector_width,
         spec.dims,
         spec.radius,
         float(np.float32(spec.center)),
         spec.coefficients.tobytes(),
     )
-    if key not in _DRIVER_LIBS:
-        _DRIVER_LIBS[key] = _compile(driver_source(spec), link=("-lpthread",))
-    lib_path = _DRIVER_LIBS[key]
-    if lib_path is None:
-        return None
-    try:
-        return NativeDriver(spec, workers, lib_path)
-    except OSError:
-        return None
+    if key not in _BUILT:
+        _BUILT[key] = build()
+    return _BUILT[key]
 
 
-_VECTOR_KERNELS: dict[tuple, NativeStencil | None] = {}
+def native_kernel_for(
+    spec: StencilSpec, scalar: bool = False
+) -> NativeStencil | None:
+    """The compiled per-stage kernel for ``spec``, or ``None``.
 
-
-def native_vector_kernel_for(spec: StencilSpec) -> NativeStencil | None:
-    """The compiled *vectorized* PE-stage kernel, or ``None``.
-
-    Same contract and caching discipline as :func:`native_kernel_for`;
-    the library is built from :func:`vector_kernel_source` (explicit
-    ``#pragma omp simd``), and the property suite asserts it is
-    bit-identical to the scalar kernel.
+    ``scalar=True`` builds the ``native-scalar`` benchmark baseline
+    (see :data:`_SCALAR_FLAGS`).  ``None`` means no compiler, a compile
+    error, or :envvar:`REPRO_NO_NATIVE` set.
     """
-    if os.environ.get(DISABLE_ENV):
-        return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
-    )
-    if key in _VECTOR_KERNELS:
-        return _VECTOR_KERNELS[key]
-    lib_path = _compile(vector_kernel_source(spec))
-    kernel: NativeStencil | None = None
-    if lib_path is not None:
+
+    def build() -> NativeStencil | None:
+        lib_path = _compile(
+            kernel_source(spec), extra=_SCALAR_FLAGS if scalar else ()
+        )
+        if lib_path is None:
+            return None
         try:
-            kernel = NativeStencil(spec, lib_path)
+            return NativeStencil(spec, lib_path)
         except OSError:
-            kernel = None
-    _VECTOR_KERNELS[key] = kernel
-    return kernel
+            return None
 
-
-#: Compiled vector-driver library path per ``(stencil key, vector
-#: width)`` — separate from the scalar cache because VEC is baked into
-#: the generated ``do_block``.
-_VECTOR_DRIVER_LIBS: dict[tuple, str | None] = {}
+    return _cached(spec, "scalar" if scalar else "kernel", 1, build)
 
 
 def native_vector_driver_for(
@@ -1555,31 +1227,29 @@ def native_vector_driver_for(
 ) -> NativeDriver | None:
     """A fresh vectorized pass driver (own pool) for ``spec``, or ``None``.
 
-    ``vector_width`` is the SIMD lane count rows are padded to — the
-    paper's ``parvec`` mapped onto CPU lanes; it must match the
-    ``vector_width`` the accelerator passes to
-    :meth:`PassPlan.to_driver_tables` so the Python-side scratch sizing
-    covers the padded rows the C code derives per block.
+    ``vector_width`` is the SIMD lane count rows are padded to, a power
+    of two; it must match the ``vector_width`` the accelerator passes
+    to :meth:`PassPlan.to_driver_tables` so the Python-side scratch
+    sizing covers the padded rows the C code derives per block.  The
+    compiled library is content-addressed and shared across calls; the
+    pthread pool is per returned instance, so concurrent accelerators
+    never contend for a job slot.
     """
-    if os.environ.get(DISABLE_ENV):
-        return None
     vec = int(vector_width)
     if vec < 1 or vec & (vec - 1):
         return None
-    key = (
-        spec.dims,
-        spec.radius,
-        float(np.float32(spec.center)),
-        spec.coefficients.tobytes(),
+    # -funroll-loops overlaps independent accumulation chains; unrolling
+    # never reassociates, so bits are unaffected
+    lib_path = _cached(
+        spec,
+        "driver",
         vec,
-    )
-    if key not in _VECTOR_DRIVER_LIBS:
-        _VECTOR_DRIVER_LIBS[key] = _compile(
+        lambda: _compile(
             vector_driver_source(spec, vec),
             link=("-lpthread",),
             extra=("-funroll-loops",),
-        )
-    lib_path = _VECTOR_DRIVER_LIBS[key]
+        ),
+    )
     if lib_path is None:
         return None
     try:

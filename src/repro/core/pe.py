@@ -44,7 +44,7 @@ def fill_stream_halo(
     border slab (``np.pad`` edge mode); periodic wraps the opposite end
     (wrap mode).  Must run before every :func:`pe_step_padded` call,
     since the interior changes between chain stages.  The generated pass
-    driver's ``fill_halo`` (:func:`repro.core.native.driver_source`)
+    driver's ``fill_halo`` (:func:`repro.core.native.vector_driver_source`)
     reimplements exactly these slab-copy semantics in C.
     """
     lo = padded[:rad]

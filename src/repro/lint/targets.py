@@ -9,6 +9,8 @@
   config pass;
 * the :class:`repro.core.plan.PassPlan` of each configuration at its
   paper shape (clamp, plus one periodic representative) — plan pass;
+* the generated pass-driver C of each configuration — purity and
+  concurrency passes;
 * every module under ``src/repro`` — hot-path purity pass.
 
 The acceptance bar is zero findings: anything these targets trip is a
@@ -20,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.paper_data import PAPER_TABLE_III
-from repro.core.native import driver_source
+from repro.core.native import vector_driver_source
 from repro.core.plan import PassPlan
 from repro.core.sharding import ShardPlan
 from repro.core.stencil import StencilSpec
@@ -115,18 +117,23 @@ def shipped_shard_plans() -> list["ShardPlan"]:
 
 
 def shipped_driver_sources() -> list[tuple[str, str]]:
-    """Purity-pass targets: generated pass-driver C per Table I kernel.
+    """Purity-pass targets: the pass-driver C each Table III point runs.
 
+    The vectorized driver at ``parvec & -parvec`` lanes, exactly what
+    the accelerator's ``auto`` ladder builds for that configuration.
     Pure codegen — no compiler is needed, so the scan runs everywhere
-    CI does.  Names mirror the kernel they were generated for.
+    CI does.  Names mirror the kernel and width they were generated for.
     """
-    return [
-        (
-            f"driver<{dims}d-rad{radius}>.c",
-            driver_source(StencilSpec.star(dims, radius)),
+    sources = []
+    for (dims, radius), row in sorted(PAPER_TABLE_III.items()):
+        width = row["parvec"] & -row["parvec"]
+        sources.append(
+            (
+                f"driver<{dims}d-rad{radius}-vec{width}>.c",
+                vector_driver_source(StencilSpec.star(dims, radius), width),
+            )
         )
-        for dims, radius in sorted(PAPER_TABLE_III)
-    ]
+    return sources
 
 
 def source_root() -> Path:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Collection
 
 from repro.core.blocking import BlockingConfig
 from repro.core.stencil import StencilSpec
@@ -194,7 +195,7 @@ class ArtifactCache:
         with self._lock:
             return len(self._entries)
 
-    def release_engines(self, board_name: str, engines: tuple[str, ...]) -> int:
+    def release_engines(self, board_name: str, engines: Collection[str]) -> int:
         """Close and drop cached programs for a board's given engine tiers.
 
         Called by the scheduler when every device of a board type has

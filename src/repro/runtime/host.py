@@ -236,8 +236,7 @@ class StencilProgram:
     (raising :class:`ConfigurationError` if the design does not fit the
     device), the fmax model, and generates the kernel source.  ``engine``
     is forwarded to :class:`~repro.core.FPGAAccelerator` (ladder
-    ``auto -> native-vector -> native-driver -> native -> numpy``); the
-    wrapped
+    ``auto -> native-vector -> native -> numpy``); the wrapped
     accelerator — and its persistent worker pools — lives for the
     program's lifetime, so schedulers re-dispatching many small jobs
     through one program never rebuild pools.  :attr:`resolved_engine`

@@ -24,13 +24,12 @@ puts a resilient scheduler in front of a fleet of simulated
   (:class:`~repro.errors.DeadlineExceededError`) with the late result
   discarded — never silently late;
 * **degraded mode** — a per-device circuit breaker around the native
-  engines (the fused pass driver and the per-stage microkernel):
-  repeated faulted kernels on a device (or a compile failure when
-  ``engine="native"``/``"native-driver"``/``"native-vector"`` is
-  requested) trip the device
-  to the conservative NumPy engine, so its jobs complete slower rather
-  than fail.  All engines are bit-identical, so degradation never
-  changes results;
+  rungs of the engine ladder (:mod:`repro.core.engines`): repeated
+  faulted kernels on a device (or a compile failure of a pinned
+  ``engine="native"``/``"native-vector"``) trip the device to the
+  conservative NumPy engine, so its jobs complete slower rather than
+  fail.  All engines are bit-identical, so degradation never changes
+  results;
 * **re-dispatch** — a job that fails with a transient fault on one
   device is retried once on a different device before its typed failure
   is reported.
@@ -49,6 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.blocking import BlockingConfig
 from repro.core.grid import make_grid
 from repro.core.stencil import StencilSpec
@@ -74,6 +74,25 @@ from repro.runtime.host import (
 from repro.runtime.sharded import ShardedRunner, ShardedStats
 
 
+def _check_job(job) -> None:
+    """Validation every job kind shares: engine, iterations, deadline
+    and (where the job has one) watchdog factor."""
+    if job.engine is not None:
+        engines.check(job.engine)
+    if job.iterations < 1:
+        raise ConfigurationError(f"iterations must be >= 1, got {job.iterations}")
+    deadline = job.deadline_s
+    if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+        raise ConfigurationError(
+            f"deadline_s must be finite and > 0, got {deadline}",
+            param="deadline_s", value=deadline,
+            constraint="math.isfinite(deadline_s) and deadline_s > 0",
+        )
+    factor = getattr(job, "watchdog_factor", None)
+    if factor is not None and factor <= 0:
+        raise ConfigurationError(f"watchdog_factor must be > 0, got {factor}")
+
+
 @dataclass(frozen=True)
 class StencilJob:
     """One unit of scheduled work: a stencil workload plus its SLOs.
@@ -84,9 +103,8 @@ class StencilJob:
     :class:`~repro.runtime.checkpoint.CheckpointPolicy` or int ``k``);
     ``watchdog_factor`` sets the kernel watchdog to
     ``factor * modeled_time``.  ``engine`` overrides the scheduler's
-    preferred engine for this job only (the serving layer's graceful-
-    degradation ladder pins overloaded jobs to cheaper tiers); a tripped
-    device breaker still wins and forces ``"numpy"``.  ``config=None``
+    preferred engine for this job only; a tripped device breaker still
+    wins and forces ``"numpy"``.  ``config=None``
     defers the blocking config to the empirical autotuner's persistent
     plan-selection cache (resolved once at admission; see
     :mod:`repro.runtime.autotune`).
@@ -103,29 +121,7 @@ class StencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
-            )
-        if self.watchdog_factor is not None and self.watchdog_factor <= 0:
-            raise ConfigurationError(
-                f"watchdog_factor must be > 0, got {self.watchdog_factor}"
-            )
+        _check_job(self)
 
 
 @dataclass(frozen=True)
@@ -179,29 +175,7 @@ class BatchStencilJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
-            )
-        if self.watchdog_factor is not None and self.watchdog_factor <= 0:
-            raise ConfigurationError(
-                f"watchdog_factor must be > 0, got {self.watchdog_factor}"
-            )
+        _check_job(self)
         if len(self.grids) < 1:
             raise ConfigurationError(
                 "batch needs at least one grid",
@@ -282,17 +256,7 @@ class ShardedJob:
     engine: str | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in (
-            None, "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be None, 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {self.engine!r}"
-            )
-        if self.iterations < 1:
-            raise ConfigurationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
+        _check_job(self)
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}",
@@ -303,14 +267,6 @@ class ShardedJob:
                 f"boundary must be 'clamp' or 'periodic', got {self.boundary!r}",
                 param="boundary", value=self.boundary,
                 constraint="boundary in ('clamp', 'periodic')",
-            )
-        if self.deadline_s is not None and not (
-            math.isfinite(self.deadline_s) and self.deadline_s > 0
-        ):
-            raise ConfigurationError(
-                f"deadline_s must be finite and > 0, got {self.deadline_s}",
-                param="deadline_s", value=self.deadline_s,
-                constraint="math.isfinite(deadline_s) and deadline_s > 0",
             )
 
 
@@ -430,10 +386,9 @@ class StencilScheduler:
         Admission bound: :meth:`submit` raises
         :class:`~repro.errors.SchedulerSaturatedError` beyond it.
     engine:
-        Preferred execution engine for healthy devices (``"auto"``,
-        ``"numpy"``, ``"native"``, ``"native-driver"`` or
-        ``"native-vector"``); a device
-        whose circuit breaker has tripped always runs ``"numpy"``.
+        Preferred execution engine for healthy devices, one of
+        :data:`repro.core.engines.ENGINES`; a device whose circuit
+        breaker has tripped always runs ``"numpy"``.
     quarantine_threshold / health_window / min_health_samples:
         A device is quarantined when its fault rate over the last
         ``health_window`` jobs exceeds the threshold (once at least
@@ -489,13 +444,7 @@ class StencilScheduler:
             raise ConfigurationError(
                 f"quarantine_threshold must be in (0, 1], got {quarantine_threshold}"
             )
-        if engine not in (
-            "auto", "numpy", "native", "native-driver", "native-vector"
-        ):
-            raise ConfigurationError(
-                "engine must be 'auto', 'numpy', 'native', "
-                f"'native-driver' or 'native-vector', got {engine!r}"
-            )
+        engines.check(engine)
         if max_dispatches < 1:
             raise ConfigurationError(
                 f"max_dispatches must be >= 1, got {max_dispatches}"
@@ -928,14 +877,12 @@ class StencilScheduler:
         Programs are warm and shared: every job with the same
         ``(kernel, config, board, engine)`` key reuses one cached
         :class:`StencilProgram` — and therefore one compiled library and
-        one live worker pool.  A native compile failure
-        (``engine="native"``, ``"native-driver"`` or ``"native-vector"``
-        requested but no
-        toolchain / failed build) trips the breaker and degrades to the
-        NumPy engine instead of failing the job.
+        one live worker pool.  A compile failure of a pinned native
+        engine (no toolchain / failed build) trips the breaker and
+        degrades to the NumPy engine instead of failing the job.
         """
         engine = worker.engine(preferred or self.engine)
-        if engine in ("native", "native-driver", "native-vector"):
+        if engine not in (engines.AUTO, "numpy"):
             try:
                 return self.program_cache.get(
                     spec, config, worker.device.board, engine=engine
@@ -968,7 +915,7 @@ class StencilScheduler:
                 continue
             if all(w.breaker.tripped for w in group):
                 closed = self.program_cache.release_engines(
-                    name, ("auto", "native", "native-driver", "native-vector")
+                    name, engines.FAST_PATH
                 )
                 self._released_boards.add(name)
                 group[0].log(

@@ -23,12 +23,14 @@ shared installation needs on the *wall* clock:
   enforcement.  Transient failures are re-dispatched with seeded,
   jittered exponential backoff, never past the remaining deadline
   budget.
-* **graceful degradation** — under queue pressure (or a fully degraded
-  fleet) dispatch pins jobs down the ``native-vector → native-driver →
-  native → numpy``
-  engine ladder and shrinks the checkpoint cadence; every downgraded
-  result carries an explicit ``degraded`` marker.  All engines are
-  bit-identical, so degradation trades latency, never correctness.
+* **degradation markers** — the service never picks engines itself:
+  jobs run on the scheduler's preferred engine, and a device whose
+  circuit breaker tripped on repeated faults runs ``numpy`` instead.
+  Every result that ran there carries an explicit ``degraded`` marker.
+  All engines are bit-identical, so degradation trades latency, never
+  correctness.  Overload is handled by shedding and coalescing alone:
+  a cheaper engine under queue pressure would only drain the queue
+  slower.
 * **request coalescing** — jobs sharing ``(kernel, config, board,
   engine)`` reuse one warm program through the service-owned
   :class:`~repro.runtime.artifacts.ArtifactCache` (single-flight
@@ -58,7 +60,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,10 +86,6 @@ from repro.runtime.scheduler import (
     StencilJob,
     StencilScheduler,
 )
-
-#: Engine tiers from fastest to most conservative; degradation walks
-#: right.  ``None`` (level 0) defers to the scheduler's preference.
-ENGINE_LADDER: tuple[str | None, ...] = (None, "native", "numpy")
 
 #: Error types the service re-dispatches (transient detections).  A
 #: deadline, shed or configuration failure is never retried.
@@ -119,12 +117,8 @@ class TenantQuota:
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Service-level knobs (queue bounds, retries, degradation ladder).
+    """Service-level knobs (queue bounds, retries, coalescing).
 
-    ``degrade_at`` / ``degrade_hard_at`` are queue-depth fractions: at
-    ``degrade_at`` dispatch pins jobs one engine tier down, at
-    ``degrade_hard_at`` to the most conservative tier (the NumPy
-    engine) with the shrunk ``degraded_checkpoint`` cadence.
     ``queue_timeout_s`` bounds the wall-clock wait of a queued job.
     Retries use seeded, jittered exponential backoff
     (``retry_backoff_s * 2**attempt``, +/- ``retry_jitter``), bounded
@@ -145,9 +139,6 @@ class ServicePolicy:
     retry_backoff_s: float = 0.005
     retry_jitter: float = 0.5
     seed: int = 2018
-    degrade_at: float = 0.5
-    degrade_hard_at: float = 0.875
-    degraded_checkpoint: int = 2
     artifact_capacity: int = 8
     coalesce: bool = True
     coalesce_max_batch: int = 32
@@ -175,16 +166,6 @@ class ServicePolicy:
             raise ConfigurationError(
                 f"retry_jitter must be in [0, 1), got {self.retry_jitter}"
             )
-        if not 0.0 < self.degrade_at <= self.degrade_hard_at <= 1.0:
-            raise ConfigurationError(
-                "degradation thresholds must satisfy "
-                f"0 < degrade_at <= degrade_hard_at <= 1, got "
-                f"{self.degrade_at} / {self.degrade_hard_at}"
-            )
-        if self.degraded_checkpoint < 1:
-            raise ConfigurationError(
-                f"degraded_checkpoint must be >= 1, got {self.degraded_checkpoint}"
-            )
         if self.coalesce_max_batch < 1:
             raise ConfigurationError(
                 f"coalesce_max_batch must be >= 1, got {self.coalesce_max_batch}"
@@ -205,8 +186,9 @@ class ServiceResult:
 
     ``status`` is ``"completed"`` (bit-exact ``result`` present) or
     ``"failed"`` (``error_type``/``error`` name the typed failure).
-    ``degraded`` marks jobs that ran below the service's preferred
-    engine tier or with a shrunk checkpoint cadence; ``coalesced``
+    ``degraded`` marks jobs that ran on ``numpy`` while the scheduler
+    prefers a faster engine (a tripped device breaker), and
+    ``degraded_engine`` names that engine; ``coalesced``
     marks jobs that reused a warm cached program; ``batched`` marks
     requests that rode a batched launch with ``batch_size`` siblings;
     ``retries`` counts service-level re-dispatches (on top of the
@@ -894,9 +876,6 @@ class StencilService:
         """Run one admitted request to termination (dispatch thread only)."""
         started = time.monotonic()
         queue_wait = started - req.admitted_s
-        level = self._degrade_level()
-        engine = ENGINE_LADDER[level]
-        checkpoint = self._checkpoint_for(req, level)
         retries = 0
         last: JobResult | None = None
         coalesced = False
@@ -913,9 +892,8 @@ class StencilService:
                 grid=req.grid,
                 iterations=req.iterations,
                 deadline_s=req.sim_deadline_s,
-                checkpoint=checkpoint,
+                checkpoint=req.checkpoint,
                 watchdog_factor=req.watchdog_factor,
-                engine=engine,
             )
             try:
                 result = self.scheduler.execute_job(job)
@@ -951,22 +929,14 @@ class StencilService:
             retries += 1
             self.metrics.count(req.tenant, "retries")
             time.sleep(delay)
-            # renewed pressure reading: a retry may ride a cheaper tier
-            level = max(level, self._degrade_level())
-            engine = ENGINE_LADDER[level]
-            checkpoint = self._checkpoint_for(req, level)
 
         elapsed = time.monotonic() - req.admitted_s
         if req.deadline_s is not None and elapsed > req.deadline_s:
             # late result discarded at the service layer too
             self._fail_deadline(req, retries, queue_wait, late=True)
             return
-        degraded = level > 0 or (
-            last.engine is not None
-            and last.status == "completed"
-            and last.engine == "numpy"
-            and self.scheduler.engine != "numpy"
-            and engine != "numpy"
+        degraded = last.status == "completed" and self._ran_degraded(
+            last.engine
         )
         self._finish(
             req,
@@ -1003,9 +973,6 @@ class StencilService:
         started = time.monotonic()
         batch_size = len(reqs)
         self.metrics.observe_batch(self._bucket_label(reqs[0]), batch_size)
-        level = self._degrade_level()
-        engine = ENGINE_LADDER[level]
-        checkpoint = self._checkpoint_for(reqs[0], level)
         retries = 0
         coalesced = False
         live = list(reqs)
@@ -1031,9 +998,8 @@ class StencilService:
                 grids=tuple(np.asarray(r.grid) for r in live),
                 iterations=live[0].iterations,
                 deadline_s=live[0].sim_deadline_s,
-                checkpoint=checkpoint,
+                checkpoint=live[0].checkpoint,
                 watchdog_factor=live[0].watchdog_factor,
-                engine=engine,
             )
             try:
                 result = self.scheduler.execute_batch(job)
@@ -1076,10 +1042,6 @@ class StencilService:
             for req in live:
                 self.metrics.count(req.tenant, "retries")
             time.sleep(delay)
-            # renewed pressure reading: a retry may ride a cheaper tier
-            level = max(level, self._degrade_level())
-            engine = ENGINE_LADDER[level]
-            checkpoint = self._checkpoint_for(live[0], level)
 
         for i, req in enumerate(live):
             queue_wait = started - req.admitted_s
@@ -1090,11 +1052,7 @@ class StencilService:
                 if req.deadline_s is not None and elapsed > req.deadline_s:
                     self._fail_deadline(req, retries, queue_wait, late=True)
                     continue
-                degraded = level > 0 or (
-                    result.engine == "numpy"
-                    and self.scheduler.engine != "numpy"
-                    and engine != "numpy"
-                )
+                degraded = self._ran_degraded(result.engine)
                 self._finish(
                     req,
                     ServiceResult(
@@ -1142,31 +1100,10 @@ class StencilService:
         with self._lock:
             return self._closing
 
-    def _degrade_level(self) -> int:
-        """0 = preferred tier, 1 = mid ladder, 2 = most conservative."""
-        if all(w.breaker.tripped for w in self.scheduler.workers):
-            return 2
-        with self._lock:
-            frac = self._queue.depth / self._queue.capacity
-        if frac >= self.policy.degrade_hard_at:
-            return 2
-        if frac >= self.policy.degrade_at:
-            return 1
-        return 0
-
-    def _checkpoint_for(
-        self, req: _Request, level: int
-    ) -> CheckpointPolicy | int | None:
-        """Shrink the checkpoint cadence under pressure (never grow it)."""
-        base = req.checkpoint
-        if level == 0:
-            return base
-        k = self.policy.degraded_checkpoint
-        if base is None:
-            return k
-        if isinstance(base, int):
-            return min(base, k)
-        return replace(base, every=min(base.every, k))
+    def _ran_degraded(self, engine: str | None) -> bool:
+        """True when a job ran on ``numpy`` although the scheduler
+        prefers a faster engine: its device's breaker had tripped."""
+        return engine == "numpy" and self.scheduler.engine != "numpy"
 
     def _remaining_budget(self, req: _Request) -> float | None:
         if req.deadline_s is None:

@@ -25,10 +25,10 @@ Failure domains are per shard:
   recovery cost scales with the snapshot distance of *one* shard, not
   with the whole run (``ShardedStats.replayed_passes`` vs a whole-run
   retry's ``passes * shards``; gated in ``BENCH_sharding.json``).
-* **Repeated faults on one board** degrade that shard's engine down the
-  ``native-vector → native-driver → native → numpy`` ladder
-  independently (all engines
-  are bit-identical, so degradation never changes the answer).
+* **Repeated faults on one board** step that shard's engine one rung
+  down the ``native-vector → native → numpy`` ladder of
+  :mod:`repro.core.engines`, independently of the other shards (all
+  engines are bit-identical, so degradation never changes the answer).
 * **Board lost outright** (:class:`~repro.faults.DeviceLossFault`,
   polled at pass boundaries): the lost shard's state is restored from
   its snapshots and replayed on a survivor, the global grid is
@@ -56,6 +56,7 @@ import numpy as np
 from repro.core.accelerator import FPGAAccelerator
 from repro.core.blocking import BlockingConfig
 from repro.core.channels import Channel
+from repro.core.engines import check, slower
 from repro.core.sharding import HaloEdge, ShardPlan
 from repro.core.stencil import StencilSpec
 from repro.errors import (
@@ -83,14 +84,6 @@ _MERGE_FIELDS = (
     "vector_ops",
     "pe_invocations",
 )
-
-#: Engine one rung down the per-shard degradation ladder.
-_NEXT_ENGINE = {
-    "native-vector": "native-driver",
-    "native-driver": "native",
-    "native": "numpy",
-}
-
 
 @dataclass
 class ShardedStats:
@@ -234,6 +227,8 @@ class ShardedRunner:
                 param="engines", value=len(engines),
                 constraint="len(engines) == shards",
             )
+        for name in engines if engines is not None else (engine,):
+            check(name)
         self.spec = spec
         self.config = config
         self.boundary = boundary
@@ -549,7 +544,7 @@ class ShardedRunner:
 
     def _degrade(self, dev: _ShardDevice, stats: ShardedStats) -> None:
         """Step one device's engine down the ladder (numpy is the floor)."""
-        nxt = _NEXT_ENGINE.get(dev.acc.resolved_engine)
+        nxt = slower(dev.acc.resolved_engine)
         if nxt is None:
             return
         try:

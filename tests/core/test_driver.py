@@ -1,4 +1,4 @@
-"""The fused native pass driver (``engine="native-driver"``).
+"""The fused native pass driver (``engine="native-vector"``).
 
 The driver executes an entire pass — every block, every chained PE
 stage, gather and writeback — in one ctypes call against a persistent
@@ -22,13 +22,17 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.native import DISABLE_ENV, driver_available, native_driver_for
+from repro.core.native import (
+    DISABLE_ENV,
+    native_available,
+    native_vector_driver_for,
+)
 from repro.core.plan import DRIVER_RECORD_LEN, PassPlan
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SEUFault, arm
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 
@@ -60,7 +64,7 @@ def test_2d_bit_identical_across_engines(radius, boundary) -> None:
         spec, cfg, boundary=boundary, engine="native"
     ).run(grid, iters)
     acc = FPGAAccelerator(
-        spec, cfg, boundary=boundary, engine="native-driver", workers=2
+        spec, cfg, boundary=boundary, engine="native-vector", workers=2
     )
     fused, _ = acc.run(grid, iters)
     acc.close()
@@ -80,7 +84,7 @@ def test_3d_bit_identical_across_engines(radius, boundary) -> None:
         spec, cfg, boundary=boundary, engine="numpy"
     ).run(grid, iters)
     acc = FPGAAccelerator(
-        spec, cfg, boundary=boundary, engine="native-driver", workers=4
+        spec, cfg, boundary=boundary, engine="native-vector", workers=4
     )
     fused, _ = acc.run(grid, iters)
     acc.close()
@@ -95,7 +99,7 @@ def test_worker_count_never_changes_bits(workers) -> None:
     cfg = _cfg(2, 2, partime=3)
     grid = make_grid((9, 95), "mixed", seed=3)
     want = reference_run(grid, spec, 7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=workers)
+    acc = FPGAAccelerator(spec, cfg, engine="native-vector", workers=workers)
     got, _ = acc.run(grid, 7)
     acc.close()
     assert np.array_equal(want, got)
@@ -106,7 +110,7 @@ def test_matches_reference_many_iterations() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native-vector", workers=2)
     out, stats = acc.run(grid, 25)
     acc.close()
     assert np.array_equal(out, reference_run(grid, spec, 25))
@@ -122,12 +126,12 @@ def test_auto_ladder_selects_driver_and_reuses_it() -> None:
     cfg = _cfg(2, 1, partime=2)
     acc = FPGAAccelerator(spec, cfg)  # engine="auto"
     assert acc.resolved_engine == "native-vector"
-    pool = acc._driver
+    pool = acc._engine
     grid = make_grid((12, 48), "random", seed=1)
     for iters in (1, 4, 5):
         out, _ = acc.run(grid, iters)
         assert np.array_equal(out, reference_run(grid, spec, iters))
-        assert acc._driver is pool  # one pool per accelerator, not per run
+        assert acc._engine is pool  # one pool per accelerator, not per run
     acc.close()
 
 
@@ -155,11 +159,11 @@ def test_close_is_idempotent_and_run_after_close_raises_typed() -> None:
 def test_separate_accelerators_get_separate_pools() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
-    a = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
-    b = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    a = FPGAAccelerator(spec, cfg, engine="native-vector", workers=2)
+    b = FPGAAccelerator(spec, cfg, engine="native-vector", workers=2)
     try:
-        assert a._driver is not b._driver
-        assert a._driver.lib_path == b._driver.lib_path  # shared .so
+        assert a._engine is not b._engine
+        assert a._engine.lib_path == b._engine.lib_path  # shared .so
     finally:
         a.close()
         b.close()
@@ -176,9 +180,9 @@ def test_disable_env_blocks_driver(monkeypatch) -> None:
     monkeypatch.setenv(DISABLE_ENV, "1")
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
-    assert native_driver_for(spec, workers=2) is None
+    assert native_vector_driver_for(spec, workers=2, vector_width=4) is None
     with pytest.raises(ConfigurationError):
-        FPGAAccelerator(spec, cfg, engine="native-driver")
+        FPGAAccelerator(spec, cfg, engine="native-vector")
     # auto degrades silently and still computes the right bits
     acc = FPGAAccelerator(spec, cfg)
     assert acc.resolved_engine == "numpy"
@@ -212,7 +216,7 @@ def test_checkpointed_driver_run_matches_plain() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native-vector", workers=2)
     plain, _ = acc.run(grid, 10)
     ckpt, stats = acc.run(grid, 10, checkpoint=2)
     acc.close()
@@ -229,7 +233,7 @@ def test_armed_rollback_mid_run_is_bit_exact() -> None:
     spec = StencilSpec.star(2, 1)
     cfg = _cfg(2, 1, partime=2)
     grid = make_grid((16, 64), "mixed", seed=7)
-    acc = FPGAAccelerator(spec, cfg, engine="native-driver", workers=2)
+    acc = FPGAAccelerator(spec, cfg, engine="native-vector", workers=2)
     blocks = acc.run(grid, cfg.partime)[1].blocks_per_pass
     touches_per_pass = blocks * (1 + cfg.partime)
     plan = FaultPlan(

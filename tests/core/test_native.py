@@ -66,7 +66,7 @@ def test_disable_env_forces_fallback(monkeypatch) -> None:
     spec = StencilSpec.star(2, 1)
     cfg = BlockingConfig(dims=2, radius=1, bsize_x=16, parvec=2, partime=2)
     acc = FPGAAccelerator(spec, cfg)  # auto engine falls back silently
-    assert acc._native is None
+    assert acc._engine is None
     with pytest.raises(ConfigurationError):
         FPGAAccelerator(spec, cfg, engine="native")
 
@@ -76,7 +76,7 @@ def test_engine_knob_validation() -> None:
     cfg = BlockingConfig(dims=2, radius=1, bsize_x=16, parvec=2, partime=2)
     with pytest.raises(ConfigurationError):
         FPGAAccelerator(spec, cfg, engine="cuda")
-    assert FPGAAccelerator(spec, cfg, engine="numpy")._native is None
+    assert FPGAAccelerator(spec, cfg, engine="numpy")._engine is None
 
 
 @needs_native
@@ -88,7 +88,7 @@ def test_engine_selection_and_run_equivalence() -> None:
     grid = make_grid((6, 25, 37), "mixed", seed=2)
     fast = FPGAAccelerator(spec, cfg, engine="native")
     slow = FPGAAccelerator(spec, cfg, engine="numpy")
-    assert fast._native is not None
+    assert fast._engine is not None
     for iters in (1, 3, 4):
         out_fast, _ = fast.run(grid, iters)
         out_slow, _ = slow.run(grid, iters)

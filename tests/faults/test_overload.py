@@ -76,8 +76,10 @@ def test_backpressure_engages_past_saturation() -> None:
     )
     (cell,) = campaign["cells"]
     assert cell.violations == cell.unterminated == 0
+    # the pacing really offered the overload it claims
+    assert cell.offered_rate_jobs_s >= 2 * campaign["saturation_rate_jobs_s"]
     # 4x offered load against a depth-4 queue must visibly push back
-    assert cell.shed + cell.queue_timeouts + cell.degraded > 0
+    assert cell.shed + cell.queue_timeouts > 0
 
 
 def test_overload_experiment_is_registered() -> None:

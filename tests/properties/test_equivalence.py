@@ -9,6 +9,7 @@ golden sequential engine.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from repro.core import (
     make_grid,
     reference_run,
 )
-from repro.core.native import driver_available, native_available
+from repro.core.native import native_available
 
 
 @st.composite
@@ -92,7 +93,7 @@ def test_accelerator_equals_reference_3d(params) -> None:
 @given(config_2d(), st.integers(2, 4))
 def test_engines_and_workers_bit_identical(params, workers) -> None:
     """The NumPy fallback, the per-stage native microkernel, the fused
-    native pass driver (both when a compiler is available) and the
+    vectorized pass driver (both when a compiler is available) and the
     block-parallel schedule are pure execution choices: same bits."""
     cfg, shape, iters, seed, boundary = params
     spec = StencilSpec.star(2, cfg.radius)
@@ -111,14 +112,47 @@ def test_engines_and_workers_bit_identical(params, workers) -> None:
             spec, cfg, boundary=boundary, engine="native"
         ).run(grid, iters)
         assert np.array_equal(base, per_stage)
-    if driver_available():
         acc = FPGAAccelerator(
-            spec, cfg, boundary=boundary, engine="native-driver",
+            spec, cfg, boundary=boundary, engine="native-vector",
             workers=workers,
         )
         fused, _ = acc.run(grid, iters)
         acc.close()
         assert np.array_equal(base, fused)
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+@pytest.mark.parametrize(
+    "dims, radius, parvec", [(2, 2, 6), (3, 1, 6), (2, 4, 12), (3, 4, 12)]
+)
+@pytest.mark.parametrize("boundary", ["clamp", "periodic"])
+def test_native_vector_at_non_power_of_two_parvec(
+    dims, radius, parvec, boundary
+) -> None:
+    """A ``parvec`` that is not a power of two runs the vectorized driver
+    at ``parvec & -parvec`` lanes, bit-exact to the reference."""
+    spec = StencilSpec.star(dims, radius)
+    partime = 2
+    halo = partime * radius
+    cfg = BlockingConfig(
+        dims=dims,
+        radius=radius,
+        bsize_x=((2 * halo) // parvec + 2) * parvec,
+        bsize_y=2 * halo + 6 if dims == 3 else None,
+        parvec=parvec,
+        partime=partime,
+    )
+    grid = make_grid((13, 70) if dims == 2 else (5, 29, 46), "random", seed=1)
+    iters = 2 * partime + 1  # partial final pass
+    acc = FPGAAccelerator(
+        spec, cfg, boundary=boundary, engine="native-vector", workers=2
+    )
+    out, _ = acc.run(grid, iters)
+    acc.close()
+    assert acc.resolved_engine == "native-vector"
+    assert np.array_equal(
+        out, reference_run(grid, spec, iters, boundary=boundary)
+    )
 
 
 @given(

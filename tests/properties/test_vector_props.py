@@ -25,12 +25,12 @@ from repro.core import (
     StencilSpec,
     make_grid,
 )
-from repro.core.native import driver_available
+from repro.core.native import native_available
 from repro.core.reference import reference_run
 from repro.lint import lint_plan
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 

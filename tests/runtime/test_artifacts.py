@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.core import BlockingConfig, StencilSpec
+from repro.core.engines import FAST_PATH
 from repro.errors import ConfigurationError
 from repro.runtime.artifacts import ArtifactCache, artifact_key, spec_key
 
@@ -84,9 +85,7 @@ def test_release_engines_drops_only_matching_tiers() -> None:
     cache = ArtifactCache(capacity=4)
     fast = cache.get(SPEC, CONFIG, engine="auto")
     slow = cache.get(SPEC, CONFIG, engine="numpy")
-    released = cache.release_engines(
-        "Nallatech 385A", ("auto", "native", "native-driver", "native-vector")
-    )
+    released = cache.release_engines("Nallatech 385A", FAST_PATH)
     assert released == 1
     assert fast.closed and not slow.closed
     assert cache.contains(artifact_key(SPEC, CONFIG, engine="numpy"))

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockingConfig, FPGAAccelerator, StencilSpec, make_grid
-from repro.core.native import driver_available
+from repro.core.native import native_available
 from repro.core.reference import reference_run
 from repro.errors import ConfigurationError
 from repro.fpga.board import NALLATECH_385A
@@ -42,7 +42,7 @@ SPEC = StencilSpec.star(2, 1)
 SHAPE = (16, 64)
 
 needs_driver = pytest.mark.skipif(
-    not driver_available(), reason="no C compiler for the pass driver"
+    not native_available(), reason="no C compiler for the pass driver"
 )
 
 

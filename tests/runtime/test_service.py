@@ -2,7 +2,7 @@
 
 Admission ladder (queue -> shed-lowest-priority -> typed reject),
 token-bucket quotas, wall-clock deadlines and queue timeouts, bounded
-jittered retries, graceful degradation markers, request coalescing and
+jittered retries, breaker degradation markers, request coalescing and
 lifecycle.  Most tests run the service with ``start=False`` and drain
 with :meth:`run_pending` so dispatch is deterministic; one test
 exercises the real dispatch thread under concurrent tenant traffic.
@@ -25,7 +25,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan, TransferFault, arm
 from repro.runtime import (
-    CheckpointPolicy,
     RetryPolicy,
     ServicePolicy,
     StencilScheduler,
@@ -271,50 +270,34 @@ def test_non_transient_failures_are_not_retried() -> None:
     svc.close()
 
 
-# -- graceful degradation ---------------------------------------------------- #
+# -- degradation markers ----------------------------------------------------- #
 
 
-def test_pressure_degrades_engine_with_explicit_marker() -> None:
-    # coalesce=False: the test pins the per-job pressure ladder easing
-    # as the queue drains; one batched launch would see one pressure
-    # reading for all eight requests
-    svc = numpy_service(
-        devices=1,
-        policy=ServicePolicy(
-            max_queue_depth=8, degrade_at=0.25, degrade_hard_at=0.75,
-            coalesce=False,
-        ),
-    )
-    tickets = [svc.submit(**request(tenant=f"t{i}")) for i in range(8)]
+def test_breaker_trip_marks_results_degraded(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # a pinned native engine that cannot build trips the device breaker;
+    # from then on the device runs numpy and every result says so
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    sched = StencilScheduler(devices=1, engine="native")
+    svc = StencilService(sched, start=False)
+    first = svc.submit(**request())
     svc.run_pending()
-    results = [t.result(0) for t in tickets]
-    assert all(r.status == "completed" for r in results)
-    assert all(np.array_equal(r.result, REF_4) for r in results)
-    # the first dispatches saw a deep queue: hard-degraded to numpy
-    assert results[0].degraded and results[0].degraded_engine == "numpy"
-    # pressure fell as the queue drained; the tail ran at full tier
-    assert not results[-1].degraded
-    assert any(
-        svc.report()["tenants"][f"t{i}"]["degraded"] == 1 for i in range(4)
-    )
-    svc.close()
-
-
-def test_degraded_checkpoint_cadence_shrinks_not_grows() -> None:
-    svc = numpy_service(policy=ServicePolicy(degraded_checkpoint=2))
-
-    class Req:
-        checkpoint = None
-
-    assert svc._checkpoint_for(Req, 0) is None
-    assert svc._checkpoint_for(Req, 1) == 2
-    Req.checkpoint = 8
-    assert svc._checkpoint_for(Req, 2) == 2
-    Req.checkpoint = 1  # already tighter than the degraded cadence
-    assert svc._checkpoint_for(Req, 2) == 1
-    Req.checkpoint = CheckpointPolicy(every=16, max_rollbacks=4)
-    shrunk = svc._checkpoint_for(Req, 1)
-    assert shrunk.every == 2 and shrunk.max_rollbacks == 4
+    assert sched.workers[0].breaker.tripped
+    assert np.array_equal(first.result(0).result, REF_4)
+    single = svc.submit(**request())
+    svc.run_pending()
+    result = single.result(0)
+    assert result.degraded and result.degraded_engine == "numpy"
+    assert np.array_equal(result.result, REF_4)
+    tickets = svc.submit_batch([request(), request()])
+    svc.run_pending()
+    for ticket in tickets:
+        result = ticket.result(0)
+        assert result.batched
+        assert result.degraded and result.degraded_engine == "numpy"
+        assert np.array_equal(result.result, REF_4)
+    assert svc.report()["tenants"]["alice"]["degraded"] == 3
     svc.close()
 
 
