@@ -15,7 +15,10 @@ plans armed, and records per-factor terminations, backpressure actions
   makes latency plateau at the bounded queue, not grow without limit);
 * **coalescing engaged** — at least one request rode a warm cached
   artifact (the sweep reuses one workload, so a cold cache every job
-  would mean the single-flight LRU cache is broken).
+  would mean the single-flight LRU cache is broken);
+* **backpressure engaged** — at 2x saturation and beyond at least one
+  request was shed or timed out in the queue (past saturation the
+  bounded queue must push back, not absorb load without limit).
 
 Usage::
 
@@ -116,6 +119,12 @@ def main() -> None:
             raise SystemExit(
                 "no request coalesced onto a warm artifact: the "
                 "single-flight LRU cache is not engaging"
+            )
+        if backpressure == 0:
+            raise SystemExit(
+                "no shed or queue timeout at 2x saturation and beyond: "
+                "backpressure is not engaging, so offered load past "
+                "saturation is being queued without bound"
             )
 
 

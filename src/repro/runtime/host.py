@@ -53,11 +53,14 @@ POWER_SAMPLE_INTERVAL_S = 0.010
 class Buffer:
     """A device-resident buffer with CRC-tracked contents.
 
-    ``write`` is the only sanctioned mutation path: it stores a copy of
+    ``write`` is the only public mutation path: it stores a copy of
     the payload and records its CRC32 — the ECC the memory controller
-    keeps alongside the data.  ``verify`` re-checks that CRC (a DRAM
-    scrub), and ``view`` hands out the live storage for callers that
-    model hardware-level corruption (the fault injector).
+    keeps alongside the data.  The command queue stores a kernel's
+    result with ``_adopt`` instead, which keeps that fresh array
+    without a copy and records its CRC the same way.  ``verify``
+    re-checks the CRC (a DRAM scrub), and ``view`` hands out the live
+    storage for callers that model hardware-level corruption (the
+    fault injector).
     """
 
     def __init__(self, nbytes: int):
@@ -80,12 +83,24 @@ class Buffer:
 
     def write(self, array: np.ndarray) -> None:
         """Store a copy of ``array`` and record its CRC32."""
+        self._store(array, copy=True)
+
+    def _adopt(self, array: np.ndarray) -> None:
+        """Take ownership of ``array`` without a copy; record its CRC32.
+
+        For the host runtime's own kernel results only: the caller must
+        hold the sole reference, so the stored data cannot change behind
+        the recorded CRC.
+        """
+        self._store(array, copy=False)
+
+    def _store(self, array: np.ndarray, copy: bool) -> None:
         data = np.ascontiguousarray(array, dtype=np.float32)
         if data.nbytes != self.nbytes:
             raise ConfigurationError(
                 f"buffer is {self.nbytes} B but payload is {data.nbytes} B"
             )
-        self._data = data.copy()
+        self._data = data.copy() if copy else data
         self._crc = crc32_array(self._data)
 
     def invalidate(self) -> None:
@@ -590,7 +605,10 @@ class CommandQueue:
                 result, stats = program.execute(
                     grid, iterations, checkpoint=checkpoint
                 )
-                dst.write(result)
+                # ``run`` returns a fresh array that nothing else holds
+                # (not the input, not a checkpoint snapshot), so ``dst``
+                # takes it over instead of copying it.
+                dst._adopt(result)
                 break
             except FaultDetectedError as err:
                 if not isinstance(err, WatchdogTimeoutError):
@@ -696,7 +714,7 @@ class CommandQueue:
                     # failed entries keep the input state; batch.errors
                     # marks them invalid for the caller
                     out_slab[g] = slab[g] if out is None else out
-                dst.write(out_slab)
+                dst._adopt(out_slab)
                 break
             except FaultDetectedError as err:
                 if not isinstance(err, WatchdogTimeoutError):

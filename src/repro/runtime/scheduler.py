@@ -879,7 +879,9 @@ class StencilScheduler:
         :class:`StencilProgram` — and therefore one compiled library and
         one live worker pool.  A compile failure of a pinned native
         engine (no toolchain / failed build) trips the breaker and
-        degrades to the NumPy engine instead of failing the job.
+        degrades to the NumPy engine instead of failing the job; any
+        other :class:`ConfigurationError` (a design that does not fit)
+        is the job's fault and propagates with no health penalty.
         """
         engine = worker.engine(preferred or self.engine)
         if engine not in (engines.AUTO, "numpy"):
@@ -888,6 +890,8 @@ class StencilScheduler:
                     spec, config, worker.device.board, engine=engine
                 )
             except ConfigurationError as err:
+                if err.param != "engine":
+                    raise
                 worker.breaker.trip(f"{engine} engine unavailable: {err}")
                 worker.log(
                     f"degraded to numpy engine ({engine} compile failure)"

@@ -322,6 +322,40 @@ def test_host_mirror_scrub_recovers_right_data_per_buffer() -> None:
     assert np.array_equal(b.data, b_data)
 
 
+# -- kernel-result ownership (copy-free device writes) ------------------------ #
+
+
+def test_read_result_is_independent_of_device_buffer() -> None:
+    program = make_program()
+    queue = CommandQueue()
+    src, dst = Buffer(GRID.nbytes), Buffer(GRID.nbytes)
+    queue.enqueue_write_buffer(src, GRID)
+    queue.enqueue_kernel(program, src, dst, 4)
+    out, _ = queue.enqueue_read_buffer(dst)
+    assert not np.may_share_memory(dst.data, src.data)
+    out += 1.0
+    assert dst.verify()
+    assert np.array_equal(dst.data, reference_run(GRID, program.spec, 4))
+
+
+def test_second_kernel_leaves_first_result_untouched() -> None:
+    # larger than the native-CRC threshold, so both CRC paths see it
+    grid = make_grid((160, 128), "mixed", seed=11)
+    program = make_program()
+    queue = CommandQueue()
+    src = Buffer(grid.nbytes)
+    first, second = Buffer(grid.nbytes), Buffer(grid.nbytes)
+    queue.enqueue_write_buffer(src, grid)
+    queue.enqueue_kernel(program, src, first, 4)
+    data, crc = first.data.copy(), first.crc
+    queue.enqueue_kernel(program, src, second, 6)
+    assert not np.may_share_memory(first.data, second.data)
+    assert first.crc == crc == crc32_array(data)
+    assert np.array_equal(first.data, data)
+    assert first.verify() and second.verify()
+    assert np.array_equal(second.data, reference_run(grid, program.spec, 6))
+
+
 # -- watchdog x checkpoint x retry accounting (S4) ----------------------------- #
 
 CKPT_SPEC = StencilSpec.star(2, 1)

@@ -315,6 +315,32 @@ def test_native_compile_failure_degrades_to_numpy(
     assert r2.engine == "numpy"
 
 
+def test_oversized_design_fails_job_without_tripping_breaker() -> None:
+    """A design that does not fit is the job's fault, not the board's."""
+    sched = StencilScheduler(devices=1, engine="native")
+    oversized = StencilJob(
+        job_id="too-big",
+        spec=StencilSpec.star(3, 4),
+        config=BlockingConfig(
+            dims=3, radius=4, bsize_x=1024, bsize_y=1024, parvec=64, partime=64
+        ),
+        grid=make_grid((8, 8, 8), "mixed", seed=1),
+        iterations=2,
+    )
+    sched.submit(oversized)
+    (bad,) = sched.run_until_idle()
+    assert bad.status == "failed"
+    assert bad.error_type == "ConfigurationError"
+    assert "does not fit" in bad.error
+    worker = sched.workers[0]
+    assert not worker.breaker.tripped
+    sched.submit(job("ok"))
+    (good,) = sched.run_until_idle()
+    assert good.status == "completed"
+    assert good.engine == "native"
+    assert np.array_equal(good.result, REF_4)
+
+
 # -- checkpoint plumbing ------------------------------------------------------ #
 
 
